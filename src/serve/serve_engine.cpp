@@ -1549,6 +1549,7 @@ bool ServeEngine::step() {
     if (avg < kGrainTokens) grain = static_cast<std::size_t>(kGrainTokens / avg);
   }
   const std::size_t engaged = workers_.fanout(units_.size(), grain);
+  peak_fanout_ = std::max(peak_fanout_, engaged);
 
   if (!config_.pipeline) {
     {

@@ -428,6 +428,11 @@ class ServeEngine {
   const ServeConfig& config() const { return config_; }
   // Per-phase step time attribution; all-zero unless collect_phase_stats.
   const obs::StepPhaseStats& phase_stats() const { return phase_stats_; }
+  // Widest attention fan-out any step engaged so far: participants (calling
+  // thread included) per ThreadPool::fanout, after the work-size grain cap.
+  // Worker w (track w of a trace) never runs attention units when
+  // w >= peak_fanout(); 0 before the first step with attention work.
+  std::size_t peak_fanout() const { return peak_fanout_; }
 
  private:
   struct Slot;       // per-running-request paged cache + pruning state
@@ -600,6 +605,7 @@ class ServeEngine {
   // Per-worker attention scratch (allocation-free decode; one per thread so
   // the parallel phase never shares TokenPickerAttention state).
   std::vector<std::unique_ptr<Workspace>> workspaces_;
+  std::size_t peak_fanout_ = 0;  // see peak_fanout()
   // Step-phase work lists, members so do_preempt can cancel a victim's
   // recorded work mid-append-phase; reused across steps.
   std::vector<PendingWork> pending_;

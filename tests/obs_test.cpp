@@ -4,14 +4,18 @@
 // * LogHistogram: quantile estimates stay within the configured relative
 //   error of the exact sorted-sample nearest-rank percentile, merge is
 //   bucket-exact, and memory stays bounded by the value range.
-// * TraceRecorder: engine traces are well-formed Chrome trace JSON, spans on
-//   each thread track are properly nested (no partial overlap), async
-//   request lifecycles are balanced, and event counts reconcile against
-//   FleetMetrics (one "unit:attend" span per generated token per instance;
-//   "prefill_chunk" token args sum to prefill_tokens).
+// * TraceRecorder: engine traces are well-formed Chrome trace JSON; spans on
+//   each thread track are properly nested (no partial overlap), track 0 (the
+//   calling thread) holds every step's span tree, and a worker track at or
+//   past ServeEngine::peak_fanout() stays empty — checked on a short
+//   scenario the work-size grain keeps on one lane and on a long-context one
+//   that fans out. Async request lifecycles are balanced, and event counts
+//   reconcile against FleetMetrics (one "unit:attend" span per generated
+//   token per instance; "prefill_chunk" token args sum to prefill_tokens).
 // * Determinism: tracing + phase stats on vs off leaves outputs, metrics,
 //   and histograms bit-identical for every scheduling policy at threads
-//   {1, 2, 8}; two traced runs produce structurally identical traces.
+//   {1, 2, 8}; two traced runs produce structurally identical traces. These
+//   short scenarios stay on one attention lane at any thread count.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -275,6 +279,22 @@ std::vector<wl::ArrivalEvent> traced_trace() {
   return wl::make_priority_mix_trace(mix, 18, trace_rng);
 }
 
+// Long prompts (run in a 1200-page pool so nothing is preempted): contexts
+// of 300-600 tokens shrink the engine's fan-out grain enough that attention
+// units run on workers.
+std::vector<wl::ArrivalEvent> long_context_trace() {
+  wl::PriorityMixParams mix;
+  mix.arrivals.rate = 0.9;
+  for (auto& m : mix.mix) {
+    m.prompt_min = 300;
+    m.prompt_max = 600;
+    m.decode_min = 8;
+    m.decode_max = 24;
+  }
+  Rng trace_rng(2026);
+  return wl::make_priority_mix_trace(mix, 12, trace_rng);
+}
+
 // Runs a full engine with tracing + phase stats into `recorder`.
 FleetMetrics run_traced(const ServeConfig& base, TraceRecorder* recorder,
                         std::vector<serve::Request>* requests = nullptr) {
@@ -363,13 +383,21 @@ void expect_no_partial_overlap(const std::vector<SpanInterval>& spans) {
   }
 }
 
-TEST(Trace, SpansProperlyNestedPerTrack) {
+// Traces `arrivals` through a fork-join engine and checks its thread tracks
+// against the fan-out it engaged: track 0 (the calling thread) records every
+// step's span tree; a worker track at or past peak_fanout() was never handed
+// a task, so it stays empty; and every track's spans nest. Engaged worker
+// tracks may be empty — tasks are claimed dynamically, so the caller can
+// drain a batch before a worker wakes. Returns peak_fanout().
+std::size_t trace_and_check_tracks(
+    ServeConfig config, const std::vector<wl::ArrivalEvent>& arrivals) {
   TraceRecorder recorder(1);
-  ServeConfig config = traced_config(PolicyKind::fifo_youngest_first);
-  config.threads = 2;
-  run_traced(config, &recorder);
-  ASSERT_GE(recorder.tracks(), 2u);
-
+  config.trace = &recorder;
+  config.collect_phase_stats = true;
+  ServeEngine engine(config);
+  engine.submit_trace(arrivals);
+  engine.run();
+  EXPECT_EQ(recorder.tracks(), config.threads);
   for (std::size_t track = 0; track < recorder.tracks(); ++track) {
     std::vector<SpanInterval> spans;
     for (const TraceEvent& e : recorder.track_events(track)) {
@@ -377,12 +405,31 @@ TEST(Trace, SpansProperlyNestedPerTrack) {
       spans.push_back(SpanInterval{e.ts, e.ts + e.dur, e.name});
     }
     SCOPED_TRACE(track);
-    // The pool caps spawned workers to the host's core count, so tracks
-    // beyond it legitimately stay empty on small machines.
-    if (track < std::thread::hardware_concurrency()) {
+    if (track == 0) {
       EXPECT_FALSE(spans.empty());
+    } else if (track >= engine.peak_fanout()) {
+      EXPECT_TRUE(recorder.track_events(track).empty());
     }
     expect_no_partial_overlap(spans);
+  }
+  return engine.peak_fanout();
+}
+
+TEST(Trace, SpansProperlyNestedPerTrack) {
+  // Short contexts: the work-size grain (kGrainTokens / avg_context >= 21
+  // units per lane, against at most 12 units a step) keeps every batch on
+  // the calling thread, so worker track 1 must stay empty.
+  ServeConfig config = traced_config(PolicyKind::fifo_youngest_first);
+  config.threads = 2;
+  EXPECT_EQ(trace_and_check_tracks(config, traced_trace()), 1u);
+
+  // Long contexts shrink the grain to ~2 units, so workers run attention
+  // units and their tracks' nesting is checked too.
+  config.pool_pages = 1200;
+  const std::size_t peak = trace_and_check_tracks(config, long_context_trace());
+  // The pool spawns no worker on a single-core host.
+  if (std::thread::hardware_concurrency() >= 2) {
+    EXPECT_GE(peak, 2u);
   }
 }
 

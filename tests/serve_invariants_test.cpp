@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -324,6 +325,14 @@ TEST(ServeEngineDeterminism, IdenticalConfigAndSeedGiveBitIdenticalRuns) {
 // per-step traffic, and token sets must be bit-identical to the sequential
 // engine for every thread count and every scheduling policy — the PR 3
 // determinism suite re-run at threads ∈ {1, 2, 8} (acceptance criterion).
+//
+// Two cases. The short, contended case covers preemption, but never fans
+// out: the step's work-size grain is kGrainTokens / avg_context >=
+// 1024 / 48 = 21 units per lane against at most max_batch x n_inst = 12
+// units, so ThreadPool::fanout clamps every batch to the calling thread. The
+// long-context case (prompts 300-600) shrinks the grain to ~2, so attention
+// units really run on workers — under both executors — and must still match
+// the sequential engine bit for bit.
 TEST(ServeEngineDeterminism, ThreadFanOutIsBitIdenticalToSequential) {
   wl::PriorityMixParams mix;
   mix.arrivals.rate = 0.9;
@@ -356,6 +365,44 @@ TEST(ServeEngineDeterminism, ThreadFanOutIsBitIdenticalToSequential) {
       fanned.submit_trace(trace);
       fanned.run();
       expect_runs_identical(reference, fanned);
+    }
+  }
+
+  wl::PriorityMixParams long_mix = mix;
+  for (auto& m : long_mix.mix) {
+    m.prompt_min = 300;
+    m.prompt_max = 600;
+  }
+  for (const PolicyKind policy :
+       {PolicyKind::fifo_youngest_first, PolicyKind::priority_slack,
+        PolicyKind::cost_aware_victim}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "long context, " << policy_kind_name(policy));
+    Rng trace_rng(2026);
+    const auto trace = wl::make_priority_mix_trace(long_mix, 12, trace_rng);
+
+    ServeConfig reference_config = determinism_config(policy);
+    reference_config.pool_pages = 1200;
+    ServeEngine reference(reference_config);
+    reference.submit_trace(trace);
+    reference.run();
+
+    for (const bool pipeline : {false, true}) {
+      for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "pipeline=" << pipeline << " threads=" << threads);
+        ServeConfig config = reference_config;
+        config.threads = threads;
+        config.pipeline = pipeline;
+        ServeEngine fanned(config);
+        fanned.submit_trace(trace);
+        fanned.run();
+        expect_runs_identical(reference, fanned);
+        // The pool spawns no worker on a single-core host.
+        if (std::thread::hardware_concurrency() >= 2) {
+          EXPECT_GE(fanned.peak_fanout(), 2u);
+        }
+      }
     }
   }
 }
